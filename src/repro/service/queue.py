@@ -871,10 +871,11 @@ class QueueExecutor:
     Drop-in for :class:`repro.runner.runner.LocalExecutor` on the
     grouped path: ``run_units`` serialises each :class:`TaskGroup`,
     enqueues it under its content key, then polls the queue and the
-    shared result store, committing each group's rows the moment its
-    item completes.  Commit order is completion order — the rows
-    themselves are deterministic and the report layer sorts, so
-    artifacts stay byte-identical to serial execution.
+    shared result store.  Each poll commits, in one batch, the rows of
+    every group whose item completed since the previous poll.  Commit
+    order is completion order — the rows themselves are deterministic
+    and the report layer sorts, so artifacts stay byte-identical to
+    serial execution.
 
     Quarantined items do not block the rest of the job: the executor
     keeps draining until only quarantined work remains, then raises
@@ -947,19 +948,20 @@ class QueueExecutor:
                     f"job {self.job_id} resumes on restart"
                 )
             states = self.queue.item_states(list(pending))
+            # one commit per poll: each commit rewrites the run manifest
+            batch: List[Tuple[int, Dict[str, Any]]] = []
             for dedup_key, (state, error) in states.items():
                 if dedup_key not in pending:
                     continue
                 if state == LeaseQueue.ITEM_DONE:
-                    waiters = pending.pop(dedup_key)
-                    batch: List[Tuple[int, Dict[str, Any]]] = []
-                    for indices, hashes in waiters:
+                    for indices, hashes in pending.pop(dedup_key):
                         rows = self._rows_for(store, hashes)
                         batch.extend(zip(indices, rows))
-                    commit(batch)
                 elif state == LeaseQueue.ITEM_QUARANTINED:
                     pending.pop(dedup_key)
                     quarantined_errors[dedup_key] = error or ""
+            if batch:
+                commit(batch)
             if pending:
                 time.sleep(self.poll_interval)
         if quarantined_errors:

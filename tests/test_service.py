@@ -11,7 +11,10 @@ Four layers, in rising order of violence:
   (a hypothesis bounded-wait property), and queue gc must never touch
   live or leased work;
 * worker tests: poison payloads quarantine instead of wedging, hung
-  executions hit the wall-clock timeout, drained items survive;
+  executions hit the wall-clock timeout, drained items survive; good
+  items reuse one warm execution child with no memo carried across
+  items, a failed or timed-out one gets the next item a fresh child,
+  and no child outlives its worker (SIGKILL) or breaks on Ctrl-C;
 * the chaos test: a 12-task sweep over two real worker processes, one
   of which is SIGKILLed mid-lease.  The job must complete, no item may
   exceed its attempt budget, the artifacts must be byte-identical to a
@@ -24,6 +27,7 @@ same failure mode (a worker dying mid-task) on the in-process pool path.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -32,6 +36,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from typing import Any, Optional
 
 import pytest
 
@@ -40,6 +45,7 @@ from repro.report.spec import parse_spec_text
 from repro.runner.plan import InstanceContext, StackedGroup, TaskGroup, plan_groups
 from repro.runner.runner import run_tasks
 from repro.runner.store import SQLiteResultStore
+from repro.runner import tasks as runner_tasks
 from repro.runner.tasks import GraphSpec, SweepTask, task_from_wire, task_to_wire
 from repro.service import metrics as service_metrics
 from repro.service.daemon import SweepService
@@ -621,6 +627,22 @@ class TestQueueExecutor:
         assert sorted(index for index, _ in committed) == list(good.indices)
         assert all(row["correct"] for _, row in committed)
 
+    def test_one_poll_commits_every_done_item_in_one_batch(self, tmp_path):
+        groups = plan_groups([make_task(seed=seed) for seed in range(3)])
+        queue = LeaseQueue(tmp_path)
+        # an earlier job already ran the same groups: all three are done
+        for group in groups:
+            enqueue_group(queue, "earlier-job", group.tasks)
+        assert run_worker(tmp_path, max_items=3, poll_interval=0.02) == 3
+        batches = []
+        QueueExecutor(queue, "job", poll_interval=0.01).run_units(groups, batches.append)
+        # so the first poll commits them together: one manifest rewrite
+        [batch] = batches
+        assert sorted(index for index, _ in batch) == sorted(
+            index for group in groups for index in group.indices
+        )
+        assert all(row["correct"] for _, row in batch)
+
 
 # ------------------------------------------------------------------ #
 # worker behaviour
@@ -633,6 +655,40 @@ def enqueue_group(queue: LeaseQueue, job_id: str, tasks) -> str:
     key = group_dedup_key(hashes)
     queue.enqueue(job_id, [(key, group_payload(group, hashes))])
     return key
+
+
+def enqueue_in_order(directory: Path, groups) -> list:
+    """Enqueue one item per task list, leased back in this order."""
+    clock = FakeClock(time.time() - 60.0)
+    queue = LeaseQueue(directory, clock=clock)
+    keys = []
+    for index, tasks in enumerate(groups):
+        keys.append(enqueue_group(queue, f"job-{index}", tasks))
+        clock.now += 1.0
+    return keys
+
+
+def record_executions(monkeypatch, log: Path, poison_seed=None, hang_seed=None) -> None:
+    """Patch ``InstanceContext.execute`` to log ``pid seed memo-size`` per
+    call; ``poison_seed`` raises, ``hang_seed`` sleeps past any budget."""
+    original = InstanceContext.execute
+
+    def recording(self, task):
+        with log.open("a") as handle:
+            handle.write(f"{os.getpid()} {task.seed} {len(runner_tasks._GRAPH_MEMO)}\n")
+        if task.seed == poison_seed:
+            raise RuntimeError("poison task")
+        if task.seed == hang_seed:
+            time.sleep(60)
+        return original(self, task)
+
+    monkeypatch.setattr(InstanceContext, "execute", recording)
+    # the worker process never builds graphs; neither may the test's
+    runner_tasks.clear_graph_memo()
+
+
+def read_executions(log: Path) -> list:
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
 class TestWorker:
@@ -675,6 +731,54 @@ class TestWorker:
         state, error = queue.item_states([key])[key]
         assert state == LeaseQueue.ITEM_QUARANTINED
         assert "timed out" in error
+
+    def test_good_items_share_one_warm_child_with_no_memo_carried(self, tmp_path, monkeypatch):
+        log = tmp_path / "executions.log"
+        record_executions(monkeypatch, log)
+        queue_dir = tmp_path / "q"
+        keys = enqueue_in_order(queue_dir, [[make_task(seed=0)], [make_task(seed=1)]])
+        assert run_worker(queue_dir, max_items=2, poll_interval=0.02) == 2
+        assert multiprocessing.active_children() == []
+        (pid_a, seed_a, memo_a), (pid_b, seed_b, memo_b) = read_executions(log)
+        assert (seed_a, seed_b) == (0, 1)
+        assert pid_a == pid_b != os.getpid()
+        assert memo_a == memo_b == 0
+        states = LeaseQueue(queue_dir).item_states(keys)
+        assert all(states[key][0] == LeaseQueue.ITEM_DONE for key in keys)
+
+    def test_failed_and_timed_out_items_are_followed_by_a_fresh_child(self, tmp_path, monkeypatch):
+        log = tmp_path / "executions.log"
+        record_executions(monkeypatch, log, poison_seed=7, hang_seed=8)
+        queue_dir = tmp_path / "q"
+        poison, good_a, hung, good_b = enqueue_in_order(
+            queue_dir,
+            [[make_task(seed=7)], [make_task(seed=1)], [make_task(seed=8)], [make_task(seed=2)]],
+        )
+        policy = RetryPolicy(max_attempts=1, task_timeout=1.0)
+        assert run_worker(queue_dir, policy=policy, max_items=4, poll_interval=0.02) == 4
+        assert multiprocessing.active_children() == []
+        executions = read_executions(log)
+        assert [seed for _, seed, _ in executions] == [7, 1, 8, 2]
+        pids = [pid for pid, _, _ in executions]
+        # poison's child exits; good_a forks a fresh one, which hung
+        # reuses until it is killed; good_b forks a third
+        assert pids[0] != pids[1] == pids[2] != pids[3] != pids[0]
+        assert all(memo == 0 for _, _, memo in executions)
+        states = LeaseQueue(queue_dir).item_states([poison, good_a, hung, good_b])
+        assert states[poison][0] == LeaseQueue.ITEM_QUARANTINED
+        assert "exited with code 1: RuntimeError: poison task" in states[poison][1]
+        assert states[hung][0] == LeaseQueue.ITEM_QUARANTINED
+        assert states[hung][1].startswith("timed out after 1.0s")
+        assert states[good_a][0] == states[good_b][0] == LeaseQueue.ITEM_DONE
+
+    def test_idle_exit_reaps_the_child(self, tmp_path, monkeypatch):
+        log = tmp_path / "executions.log"
+        record_executions(monkeypatch, log)
+        queue_dir = tmp_path / "q"
+        enqueue_in_order(queue_dir, [[make_task(seed=0)]])
+        assert run_worker(queue_dir, idle_exit=0.1, poll_interval=0.02) == 1
+        assert multiprocessing.active_children() == []
+        assert len(read_executions(log)) == 1
 
 
 # ------------------------------------------------------------------ #
@@ -723,7 +827,9 @@ class TestDeadPoolWorker:
 # ------------------------------------------------------------------ #
 
 
-def spawn_test_worker(queue_dir: Path, lease_ttl: float, delay: float) -> subprocess.Popen:
+def spawn_test_worker(
+    queue_dir: Path, lease_ttl: float, delay: float, **popen_kwargs: Any
+) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env[TEST_DELAY_ENV] = str(delay)
@@ -747,8 +853,93 @@ def spawn_test_worker(queue_dir: Path, lease_ttl: float, delay: float) -> subpro
             "0.2",
         ],
         env=env,
-        stderr=subprocess.DEVNULL,
+        **{"stderr": subprocess.DEVNULL, **popen_kwargs},
     )
+
+
+def process_state(pid: int) -> Optional[bytes]:
+    """``/proc`` state letter of ``pid``, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rsplit(b")", 1)[1].split()[0]
+    except OSError:
+        return None
+
+
+def process_alive(pid: int) -> bool:
+    # an orphan's zombie waits on whatever reaps for init: it has exited
+    return process_state(pid) not in (None, b"Z")
+
+
+def live_children(pid: int) -> list:
+    children = []
+    for entry in os.scandir("/proc"):
+        if not entry.name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry.name}/stat", "rb") as handle:
+                fields = handle.read().rsplit(b")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != b"Z":
+            children.append(int(entry.name))
+    return children
+
+
+def wait_until(predicate, timeout: float):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(0.02)
+    raise AssertionError(f"condition not met within {timeout}s")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+class TestWorkerProcessHygiene:
+    def test_sigkilled_worker_takes_its_idle_child_with_it(self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        key = enqueue_group(queue, "job", [make_task()])
+        worker = spawn_test_worker(tmp_path, lease_ttl=30.0, delay=0.0)
+        try:
+            wait_until(
+                lambda: queue.item_states([key])[key][0] == LeaseQueue.ITEM_DONE, 60.0
+            )
+            [child] = wait_until(lambda: live_children(worker.pid), 10.0)
+        finally:
+            worker.kill()
+            worker.wait()
+        try:
+            # the child reads EOF on its pipe and exits
+            wait_until(lambda: not process_alive(child), 5.0)
+        finally:
+            if process_alive(child):
+                os.kill(child, signal.SIGKILL)
+
+    def test_ctrl_c_drains_the_worker_and_the_in_flight_item_completes(self, tmp_path):
+        queue = LeaseQueue(tmp_path)
+        key = enqueue_group(queue, "job", [make_task()])
+        log = tmp_path / "worker.log"
+        with log.open("wb") as stderr:
+            worker = spawn_test_worker(
+                tmp_path, lease_ttl=30.0, delay=2.0, stderr=stderr, start_new_session=True
+            )
+        try:
+            [child] = wait_until(lambda: live_children(worker.pid), 60.0)
+            time.sleep(0.3)  # past the child's signal reset, inside its 2 s item
+            assert queue.item_states([key])[key][0] == LeaseQueue.ITEM_LEASED
+            # a terminal Ctrl-C reaches the whole foreground process group
+            os.killpg(worker.pid, signal.SIGINT)
+            assert worker.wait(timeout=60) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
+        assert queue.item_states([key])[key][0] == LeaseQueue.ITEM_DONE
+        # only the worker reports the drain; the child ignored SIGINT
+        assert log.read_text().count("drain requested") == 1
+        wait_until(lambda: not process_alive(child), 5.0)
 
 
 class TestChaos:

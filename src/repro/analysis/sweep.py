@@ -104,7 +104,6 @@ def run_scheme_sweep(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "engine",
-    grouping: str = "instance",
     cache_backend: str = DEFAULT_CACHE_BACKEND,
     resume: bool = False,
     progress: bool = False,
@@ -155,7 +154,6 @@ def run_scheme_sweep(
         tasks,
         jobs=jobs,
         cache_dir=cache_dir,
-        grouping=grouping,
         cache_backend=cache_backend,
         resume=resume,
         progress=progress,
@@ -230,7 +228,6 @@ def run_baseline_sweep(
     seeds: Sequence[int] = (0, 1),
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    grouping: str = "instance",
     cache_backend: str = DEFAULT_CACHE_BACKEND,
     resume: bool = False,
     progress: bool = False,
@@ -255,7 +252,6 @@ def run_baseline_sweep(
         tasks,
         jobs=jobs,
         cache_dir=cache_dir,
-        grouping=grouping,
         cache_backend=cache_backend,
         resume=resume,
         progress=progress,

@@ -63,7 +63,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.sweep import run_scheme_sweep
 from repro.analysis.tables import format_table
@@ -88,7 +88,7 @@ from repro.runner.registry import (
     resolve_baseline,
     resolve_scheme,
 )
-from repro.runner.runner import GROUPING_MODES, run_tasks
+from repro.runner.runner import run_tasks
 from repro.runner.store import (
     CACHE_BACKENDS,
     DEFAULT_CACHE_BACKEND,
@@ -184,19 +184,6 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         "--progress",
         action="store_true",
         help="live done/total, cache-hit and ETA reporting on stderr",
-    )
-    parser.add_argument(
-        "--grouping",
-        default="instance",
-        choices=list(GROUPING_MODES),
-        help=(
-            "execution planning: 'instance' batches tasks sharing a graph "
-            "instance so the graph/trace/advice are built once per group "
-            "(default), 'seed-stack' additionally stacks all seeds of a "
-            "sweep point through one batched generation/trace/advice pass "
-            "(byte-identical rows; unstackable points fall back to "
-            "'instance'), 'none' is the historical per-task execution"
-        ),
     )
 
 
@@ -387,7 +374,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        grouping=args.grouping,
         cache_backend=args.cache_backend,
         resume=args.resume,
         progress=args.progress or args.resume,
@@ -461,7 +447,6 @@ def _bench_one_backend(args: argparse.Namespace, backend: str) -> Dict[str, Any]
         tasks,
         jobs=args.jobs,
         cache_dir=cache,
-        grouping=args.grouping,
         stats=stats,
         resume=args.resume,
         progress=args.progress,
@@ -476,9 +461,11 @@ def _bench_one_backend(args: argparse.Namespace, backend: str) -> Dict[str, Any]
         "backend": backend,
         "runs": len(rows),
         # jobs + grouping identify the execution configuration: snapshots
-        # measured under different configurations are never comparable
+        # measured under different configurations are never comparable.
+        # Every run is instance-grouped; committed snapshots may still
+        # hold rows measured seed-stacked or per-task.
         "jobs": args.jobs,
-        "grouping": args.grouping,
+        "grouping": "instance",
         "tier": getattr(args, "tier", "standard"),
         "wall_seconds": round(elapsed, 4),
         "runs_per_second": round(len(rows) / elapsed, 3) if elapsed > 0 else float("inf"),
@@ -534,14 +521,28 @@ def _write_bench_snapshot(payload: Dict[str, Any], path_arg: Optional[str]) -> P
     return path
 
 
+def _bench_key(row: Dict[str, Any], default_grouping: str) -> Tuple[Any, ...]:
+    """``(scheme, graph, n, backend, jobs, grouping)`` of one bench row."""
+    return (
+        row["scheme"],
+        row["graph"],
+        row["n"],
+        row.get("backend", "engine"),
+        row.get("jobs", 1),
+        row.get("grouping", default_grouping),
+    )
+
+
 def _check_regression(payload: Dict[str, Any], baseline_path: str) -> int:
     """Compare against a committed snapshot.
 
     Warns on a >20% ``runs_per_second`` loss and counts a >30% loss as a
     hard failure (the return value; ``bench --baseline`` exits non-zero
     on any, which is what turns CI's perf smoke from warn-only into a
-    gate).  Rows measured under a different execution configuration
-    (``jobs`` / ``grouping``) are never compared — throughput across
+    gate).  Baseline rows are matched on the execution configuration
+    (``jobs`` / ``grouping``) as well as the workload, so a snapshot may
+    hold rows of several configurations in any order; rows measured
+    under another configuration are never compared — throughput across
     configurations is apples-to-oranges by construction.
     """
     try:
@@ -549,25 +550,21 @@ def _check_regression(payload: Dict[str, Any], baseline_path: str) -> int:
     except (OSError, ValueError) as exc:
         print(f"warning: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
         return 0
+    # snapshots predating the grouping field were measured per-task
     reference = {
-        (row["scheme"], row["graph"], row["n"], row.get("backend", "engine")): row
+        _bench_key(row, "none"): row
         for row in _bench_rows(baseline.get("payload", baseline))
         if "runs_per_second" in row
     }
     failures = 0
     for row in _bench_rows(payload):
-        key = (row["scheme"], row["graph"], row["n"], row.get("backend", "engine"))
-        base_row = reference.get(key)
+        full_key = _bench_key(row, "instance")
+        key, config = full_key[:4], full_key[4:]
+        base_row = reference.get(full_key)
         if base_row is None:
-            print(f"warning: baseline has no entry for {key}", file=sys.stderr)
-            continue
-        config = (row.get("jobs", 1), row.get("grouping", "instance"))
-        # snapshots predating the grouping field were measured per-task
-        base_config = (base_row.get("jobs", 1), base_row.get("grouping", "none"))
-        if config != base_config:
             print(
-                f"warning: skipping {key}: baseline was measured with "
-                f"jobs/grouping {base_config}, this run used {config}",
+                f"warning: skipping {key}: baseline has no row measured with "
+                f"jobs/grouping {config}",
                 file=sys.stderr,
             )
             continue
@@ -678,8 +675,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
     if args.tier == "large":
-        # the large tier pins the instance and backend; scheme, repeats,
-        # grouping and profiling stay selectable
+        # the large tier pins the instance and backend and forces
+        # profiling; scheme and repeats stay selectable
         args.graph = _LARGE_TIER["graph"]
         args.n = _LARGE_TIER["n"]
         args.backend = _LARGE_TIER["backend"]
@@ -751,7 +748,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        grouping=args.grouping,
         cache_backend=args.cache_backend,
         resume=args.resume,
         progress=args.progress or args.resume,
@@ -1102,8 +1098,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "emit the per-stage timing breakdown (graph build / trace / "
-            "advice / backend execution) of the grouped executor; with "
-            "--grouping none the stages are not instrumented"
+            "advice / backend execution) of the grouped executor"
         ),
     )
     bench_parser.add_argument(
@@ -1113,8 +1108,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "benchmark tier: 'standard' uses --graph/--n/--backend as "
             "given; 'large' pins the hypercube(n=131072) instance on the "
-            "analytic backend with profiling on (scheme, repeats and "
-            "grouping stay selectable)"
+            "analytic backend with profiling on (scheme and repeats stay "
+            "selectable)"
         ),
     )
     bench_sub = bench_parser.add_subparsers(

@@ -56,26 +56,6 @@ class AdvisingScheme(ABC):
     def program_factory(self) -> ProgramFactory:
         """The decoder: a factory producing one node program per node."""
 
-    @classmethod
-    def compute_advice_batch(
-        cls,
-        schemes: "list",
-        graphs: "list",
-        root: int = 0,
-        traces: "Optional[list]" = None,
-    ) -> "list":
-        """The oracle over all seeds of one stacked sweep point.
-
-        ``schemes[i]`` must be a distinct instance per graph — a scheme
-        object may hold per-instance packing state that the analytic
-        backend replays.  The default simply loops; precomputed Borůvka
-        traces are picked up through each graph's trace memo, so
-        ``traces`` is only consulted by overrides (the Theorem-3 schemes
-        run their capacity search across all seeds at once).
-        """
-        del traces
-        return [s.compute_advice(g, root=root) for s, g in zip(schemes, graphs)]
-
     # -------- declared theoretical bounds (for reporting only) --------
 
     def advice_bound_bits(self, n: int) -> Optional[float]:

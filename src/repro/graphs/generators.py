@@ -38,7 +38,6 @@ __all__ = [
     "path_graph",
     "power_law_graph",
     "random_connected_graph",
-    "random_connected_graph_batch",
     "random_geometric_graph",
     "random_spanning_tree_graph",
     "star_graph",
@@ -373,38 +372,14 @@ def random_connected_graph(
         raise ValueError("n must be positive")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must be a probability")
-    triu = (
-        np.triu_indices(n, k=1) if extra_edge_prob > 0.0 and n > 2 else None
-    )
-    return _random_connected_one(
-        n, extra_edge_prob, _rng(seed), weight_mode, weight_range, shuffle_ports, triu
-    )
-
-
-def _random_connected_one(
-    n: int,
-    extra_edge_prob: float,
-    rng: np.random.Generator,
-    weight_mode: str,
-    weight_range: int,
-    shuffle_ports: bool,
-    triu: Optional[Tuple[np.ndarray, np.ndarray]],
-) -> PortNumberedGraph:
-    """One random connected instance drawn from an already-created ``rng``.
-
-    The RNG call sequence is the historical one — one ``rng.integers``
-    per tree edge, one ``rng.random`` mask over the (shared) upper
-    triangle, then the weight and port draws of :func:`_build` — so
-    instances are byte-identical whether the upper-triangle index pair is
-    built per call or shared across a batch.
-    """
+    rng = _rng(seed)
     tree_u = np.fromiter(
         (rng.integers(0, v) for v in range(1, n)), dtype=np.int64, count=n - 1
     )
     codes = tree_u * n + np.arange(1, n, dtype=np.int64)  # u < v by construction
     if extra_edge_prob > 0.0 and n > 2:
         # vectorised G(n, p) over the upper triangle
-        iu, iv = triu if triu is not None else np.triu_indices(n, k=1)
+        iu, iv = np.triu_indices(n, k=1)
         mask = rng.random(iu.size) < extra_edge_prob
         codes = np.concatenate((codes, iu[mask] * n + iv[mask]))
     # unique sorted codes == the historical sorted de-duplicated pair set
@@ -420,45 +395,6 @@ def _random_connected_one(
     return _build(
         n, (codes // n, codes % n), rng, weight_mode, weight_range, shuffle_ports
     )
-
-
-def random_connected_graph_batch(
-    n: int,
-    extra_edge_prob: float = 0.05,
-    seeds: Sequence[Optional[int]] = (0,),
-    weight_mode: str = "distinct",
-    weight_range: int = 100,
-    shuffle_ports: bool = True,
-) -> List[PortNumberedGraph]:
-    """All seeds of one :func:`random_connected_graph` sweep point at once.
-
-    Byte-identical to calling :func:`random_connected_graph` once per
-    seed (each seed consumes its own fresh RNG stream in the historical
-    draw order); the batch shares the ``O(n²)`` upper-triangle index
-    arrays across the seeds, which is the only seed-independent part of
-    the construction.
-
-    >>> a, _ = random_connected_graph_batch(32, 0.1, seeds=(1, 2))
-    >>> solo = random_connected_graph(32, 0.1, seed=1)
-    >>> all(
-    ...     np.array_equal(getattr(a, f), getattr(solo, f))
-    ...     for f in ("edge_u", "edge_v", "edge_w", "edge_port_u", "edge_port_v")
-    ... )
-    True
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0.0 <= extra_edge_prob <= 1.0:
-        raise ValueError("extra_edge_prob must be a probability")
-    triu = (
-        np.triu_indices(n, k=1) if extra_edge_prob > 0.0 and n > 2 else None
-    )
-    return [
-        _random_connected_one(
-            n, extra_edge_prob, _rng(seed), weight_mode, weight_range, shuffle_ports, triu
-        )
-        for seed in seeds
-    ]
 
 
 def random_geometric_graph(

@@ -702,11 +702,8 @@ def _slot_order_kernel(
     """The ``(rank, x - 1, y - 1)`` computation behind ``_slot_orders``.
 
     ``first_slot[u]`` is the position of node ``u``'s first adjacency
-    slot.  Shared by the per-instance path and the seed-stacked batch:
-    the outputs depend only on the within-node ``(weight, port)`` order
-    and the ``(node, weight)`` group boundaries, both of which are
-    unchanged when many instances are concatenated with disjoint node
-    ids — so the batch results slice back per instance bit for bit.
+    slot.  The outputs depend only on the within-node ``(weight, port)``
+    order and the ``(node, weight)`` group boundaries.
 
     The sort is stable, and within a node the slots are already in port
     order, so ``(weight, node)`` keys alone give the full ``(node,

@@ -43,7 +43,6 @@ __all__ = [
     "BoruvkaTrace",
     "boruvka_mst",
     "boruvka_trace",
-    "boruvka_trace_stacked",
 ]
 
 
@@ -272,14 +271,11 @@ def _minimum_outgoing_edges(
     sorted_u: np.ndarray,
     sorted_v: np.ndarray,
     order: np.ndarray,
-    ru: Optional[np.ndarray] = None,
-    rv: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per fragment, its first outgoing edge in the canonical order.
 
-    Works on raw endpoint arrays so the same kernel serves one instance
-    and the seed-stacked disjoint union of a whole sweep point.
-    ``sorted_u`` / ``sorted_v`` are the edge endpoints arranged in the
+    Works on raw endpoint arrays, so :func:`boruvka_mst` and
+    :func:`boruvka_trace` share it.  ``sorted_u`` / ``sorted_v`` are the edge endpoints arranged in the
     canonical ``(weight, edge_id)`` order (``order`` maps a canonical
     position back to the edge id).  A fragment's minimum outgoing edge is
     its *first occurrence* in that order, found with one reversed fancy
@@ -291,15 +287,9 @@ def _minimum_outgoing_edges(
     Returns ``(fragments, edge_ids, choosing_nodes)``: for every
     fragment representative with at least one outgoing edge, the
     selected edge id and the endpoint inside the fragment.
-
-    ``ru`` / ``rv`` may carry the endpoint representatives if the caller
-    already gathered them (the stacked loop does, for its crossing-edge
-    filter) — the kernel then skips its own two gathers.
     """
-    if ru is None:
-        ru = reps[sorted_u]
-    if rv is None:
-        rv = reps[sorted_v]
+    ru = reps[sorted_u]
+    rv = reps[sorted_v]
     inter = np.flatnonzero(ru != rv)
     if inter.size == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -462,9 +452,6 @@ def _annotate_phases(
     roots_array pass instead of a fresh union-find over all earlier edges;
     every per-selection field (ports, ranks, index pairs, orientations,
     levels, DFS indices) is gathered with one vectorised pass per phase.
-    Shared by the single-instance tracer and the seed-stacked kernel
-    (which records raw selections for a whole sweep point in one union
-    loop and annotates each seed separately).
     """
     phases: List[BoruvkaPhase] = []
     limit = len(raw_phases) if max_phases is None else min(max_phases, len(raw_phases))
@@ -522,148 +509,3 @@ def _annotate_phases(
         ):
             union(a, b)
     return phases
-
-
-# ---------------------------------------------------------------------- #
-# the seed-stacked kernel: all seeds of one sweep point in one union loop
-# ---------------------------------------------------------------------- #
-
-
-def boruvka_trace_stacked(
-    graphs: Sequence[PortNumberedGraph],
-    root: int = 0,
-) -> List[BoruvkaTrace]:
-    """Trace every instance of one sweep point through **one** phase loop.
-
-    The instances (all of the same size ``n``) are stacked into a
-    disjoint union: node ``u`` of seed ``s`` becomes ``s*n + u`` and the
-    edge ids of seed ``s`` are offset by the edge counts of the seeds
-    before it.  One canonical ``(weight, edge_id)`` lexsort and one
-    union-find phase loop then drive every seed at once:
-
-    * within one seed, the union order restricted to its edges equals its
-      own canonical order (the edge-id offset is monotonic), and
-      fragments never span seeds, so each seed's per-phase selections are
-      exactly those of its solo :func:`boruvka_trace` run;
-    * a seed participates at global phase ``i`` while it still has more
-      than one fragment — a contiguous prefix of the global phases, so
-      its local phase numbering (and with it the ``2^i`` activity
-      thresholds) matches the solo run phase by phase, including phases
-      where every fragment of the seed is passive;
-    * selections come back ordered by union fragment representative,
-      which is seed-major: each seed's slice is contiguous.
-
-    Per seed the raw selections are annotated with the shared
-    :func:`_annotate_phases` pass, the rooted reference tree is built
-    (and memoised) as usual, the Kruskal memo is pre-seeded with the MST
-    (identical by the shared canonical order), and the finished
-    :class:`BoruvkaTrace` is installed in the instance's trace memo — so
-    every downstream consumer (oracles, the analytic backend) sees
-    exactly the objects a per-seed run would have produced.
-    """
-    graphs = list(graphs)
-    if not graphs:
-        return []
-    n = graphs[0].n
-    for g in graphs:
-        if g.n != n:
-            raise ValueError("seed stacking requires instances of one size")
-        if not g.is_connected():
-            raise ValueError("MST is undefined on a disconnected graph")
-    if not 0 <= root < n:
-        raise ValueError("root out of range")
-
-    num_seeds = len(graphs)
-    total_nodes = num_seeds * n
-    edge_counts = np.asarray([g.m for g in graphs], dtype=np.int64)
-    e_off = np.zeros(num_seeds + 1, dtype=np.int64)
-    np.cumsum(edge_counts, out=e_off[1:])
-    edge_u_all = np.concatenate([g.edge_u + s * n for s, g in enumerate(graphs)])
-    edge_v_all = np.concatenate([g.edge_v + s * n for s, g in enumerate(graphs)])
-    # Fragments never span seeds, so the kernel below only ever compares
-    # positions of edges *within* one seed: a seed-major concatenation of
-    # the per-seed canonical (weight, edge_id) orders serves as the global
-    # order, and sixteen small sorts beat one big one.  A stable argsort
-    # ties by position, i.e. by edge id — exactly the canonical order;
-    # integral weights (every built-in weight mode) sort as int64, where
-    # the stable sort is a radix pass instead of a float mergesort.
-    order_parts = []
-    for s, g in enumerate(graphs):
-        w = g.edge_w
-        w_int = w.astype(np.int64)
-        if np.array_equal(w_int, w):
-            part = np.argsort(w_int, kind="stable")
-        else:
-            part = np.argsort(w, kind="stable")
-        order_parts.append(part + e_off[s])
-    order = np.concatenate(order_parts)
-    sorted_u = edge_u_all[order]
-    sorted_v = edge_v_all[order]
-
-    uf = UnionFind(total_nodes)
-    raw_per_seed: List[List[Dict]] = [[] for _ in range(num_seeds)]
-    selected_per_seed: List[Set[int]] = [set() for _ in range(num_seeds)]
-    phase_index = 0
-    while uf.component_count > num_seeds:
-        phase_index += 1
-        threshold = 1 << phase_index
-        reps = uf.roots_array()
-        sizes = np.bincount(reps, minlength=total_nodes)
-        # fragments still open, per seed: distinct representatives live in
-        # their seed's node block, so counting non-empty size slots per
-        # block replaces a hash-based unique pass
-        comp = np.count_nonzero(sizes.reshape(num_seeds, n), axis=1)
-        frag_reps, edge_ids, nodes = _minimum_outgoing_edges(
-            total_nodes, edge_u_all, edge_v_all, reps, sorted_u, sorted_v, order
-        )
-        active = sizes[frag_reps] < threshold
-        sel_eids = edge_ids[active]
-        sel_nodes = nodes[active]
-        seed_of = sel_nodes // n
-        bounds = np.searchsorted(seed_of, np.arange(num_seeds + 1))
-        for s in np.flatnonzero(comp > 1).tolist():
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            local_eids = sel_eids[lo:hi] - e_off[s]
-            new_edges = np.unique(local_eids).tolist()
-            raw_per_seed[s].append(
-                {
-                    "index": phase_index,
-                    "sel_eids": local_eids,
-                    "sel_nodes": sel_nodes[lo:hi] - s * n,
-                    "new_edges": new_edges,
-                }
-            )
-            selected_per_seed[s].update(new_edges)
-        uniq_eids = np.unique(sel_eids)
-        union = uf.union
-        for a, b in zip(
-            edge_u_all[uniq_eids].tolist(), edge_v_all[uniq_eids].tolist()
-        ):
-            union(a, b)
-        if phase_index > n:  # pragma: no cover - safety net
-            raise RuntimeError("Borůvka did not converge")
-
-    traces: List[BoruvkaTrace] = []
-    for s, g in enumerate(graphs):
-        mst_edges = sorted(selected_per_seed[s])
-        if len(mst_edges) != n - 1:  # pragma: no cover - internal invariant
-            raise RuntimeError("Borůvka produced a non-spanning edge set")
-        # the Borůvka MST equals the Kruskal MST under the shared canonical
-        # order; pre-seeding the memo spares the non-trace schemes a full
-        # Kruskal pass per seed
-        if getattr(g, "_kruskal_cache", None) is None:
-            g._kruskal_cache = tuple(mst_edges)
-        tree = build_rooted_tree(g, mst_edges, root=root)
-        trace = BoruvkaTrace(
-            graph=g,
-            root=root,
-            tree=tree,
-            phases=_annotate_phases(g, tree, raw_per_seed[s]),
-        )
-        memo = getattr(g, "_trace_cache", None)
-        if memo is None:
-            memo = {}
-            g._trace_cache = memo
-        memo[root] = trace
-        traces.append(trace)
-    return traces

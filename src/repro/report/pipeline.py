@@ -292,7 +292,6 @@ def generate_report(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: Optional[str] = None,
-    grouping: str = "instance",
     cache_backend: str = DEFAULT_CACHE_BACKEND,
     resume: bool = False,
     progress: bool = False,
@@ -302,7 +301,7 @@ def generate_report(
 
     Artifacts land in ``out_dir`` (created if missing): per experiment a
     ``<name>.md`` and one or more ``<name>*.csv``, plus a top-level
-    ``index.md``.  ``jobs``/``cache_dir``/``grouping``/``cache_backend``
+    ``index.md``.  ``jobs``/``cache_dir``/``cache_backend``
     are forwarded to the runner; ``backend`` overrides the spec's
     default execution backend — none of them can change a single
     artifact byte.  ``resume=True`` checkpoints a run manifest next to
@@ -325,7 +324,6 @@ def generate_report(
         flat,
         jobs=jobs,
         cache_dir=cache_dir,
-        grouping=grouping,
         cache_backend=cache_backend,
         resume=resume,
         progress=progress,

@@ -29,8 +29,8 @@ amortises that workload:
 
 ``analysis/sweep.py``, the ``repro.report`` pipeline, the ``sweep
 --jobs`` / ``bench`` CLI commands and the ``benchmarks/`` suite all
-route through :func:`run_tasks`, so the serial, parallel, grouped and
-ungrouped paths produce byte-identical aggregated results.
+route through :func:`run_tasks`, so serial and parallel runs produce
+byte-identical aggregated results.
 """
 
 from repro.runner.cache import ResultCache
@@ -49,7 +49,7 @@ from repro.runner.registry import (
     resolve_scheme,
     resolve_target,
 )
-from repro.runner.runner import GROUPING_MODES, execute_task, run_tasks
+from repro.runner.runner import execute_task, run_tasks
 from repro.runner.store import (
     CACHE_BACKENDS,
     DEFAULT_CACHE_BACKEND,
@@ -67,7 +67,6 @@ __all__ = [
     "DEFAULT_CACHE_BACKEND",
     "DEFAULT_SHARDS",
     "GRAPH_FAMILIES",
-    "GROUPING_MODES",
     "SCHEMES",
     "STORE_SCHEMA_VERSION",
     "ExecutionStats",

@@ -5,18 +5,16 @@
 --jobs`` / ``bench`` commands and the benchmark suite.  Guarantees:
 
 * **Determinism** — results come back in task order regardless of
-  ``jobs`` or ``grouping``; workers return plain measured rows and all
-  aggregation happens in the parent, so every execution mode is
-  byte-identical.
-* **Instance grouping** — with ``grouping="instance"`` (the default)
-  cache misses are partitioned by :func:`repro.runner.plan.plan_groups`
-  into groups sharing one graph instance, and each group runs against
-  one :class:`~repro.runner.plan.InstanceContext`: the graph, Borůvka
-  trace, rooted tree and per-scheme advice are built **once per group**
-  instead of once per task.  With ``jobs=N`` whole groups are shipped to
-  workers (instead of blind contiguous chunks), so the sharing holds in
-  every worker process too.  ``grouping="none"`` keeps the historical
-  per-task path for A/B comparison.
+  ``jobs``; workers return plain measured rows and all aggregation
+  happens in the parent, so serial and parallel runs are byte-identical.
+* **Instance grouping** — cache misses are partitioned by
+  :func:`repro.runner.plan.plan_groups` into groups sharing one graph
+  instance, and each group runs against one
+  :class:`~repro.runner.plan.InstanceContext`: the graph, Borůvka trace,
+  rooted tree and per-scheme advice are built **once per group** instead
+  of once per task.  With ``jobs=N`` whole groups are shipped to
+  workers, so the sharing holds in every worker process too.  This is
+  the only execution path.
 * **Caching** — with ``cache_dir`` set, cacheable tasks (registry-name
   target + :class:`GraphSpec` graph) are looked up / stored by their
   content hash (computed once per task and reused for lookup, store and
@@ -52,23 +50,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.runner.cache import ResultCache
 from repro.runner.manifest import RunManifest
-from repro.runner.plan import (
-    ExecutionStats,
-    InstanceContext,
-    StackedContext,
-    StackedGroup,
-    TaskGroup,
-    plan_groups,
-    plan_super_groups,
-)
+from repro.runner.plan import ExecutionStats, InstanceContext, TaskGroup, plan_groups
 from repro.runner.progress import ProgressReporter
 from repro.runner.store import DEFAULT_CACHE_BACKEND, SQLiteResultStore, open_result_store
 from repro.runner.tasks import SweepTask
 
-__all__ = ["LocalExecutor", "execute_task", "run_tasks", "GROUPING_MODES"]
-
-#: accepted values of ``run_tasks(..., grouping=...)``
-GROUPING_MODES = ("instance", "seed-stack", "none")
+__all__ = ["LocalExecutor", "execute_task", "run_tasks"]
 
 
 def execute_task(task: SweepTask) -> Dict[str, Any]:
@@ -83,18 +70,21 @@ def execute_task(task: SweepTask) -> Dict[str, Any]:
     return InstanceContext().execute(task)
 
 
-def _execute_chunk(chunk: Sequence[SweepTask]) -> List[Dict[str, Any]]:
-    """Worker entry point of the ungrouped path: one contiguous slice."""
-    return [execute_task(task) for task in chunk]
+def _execute_group(
+    group: TaskGroup, stats: Optional[ExecutionStats] = None
+) -> List[Tuple[int, Dict[str, Any]]]:
+    """Run one group against one shared context; ``(miss_index, row)`` pairs."""
+    context = InstanceContext(stats=stats)
+    return [
+        (index, context.execute(task)) for index, task in zip(group.indices, group.tasks)
+    ]
 
 
 def _execute_group_chunk(
-    chunk: Sequence[Union[TaskGroup, StackedGroup]],
+    chunk: Sequence[TaskGroup],
 ) -> Tuple[List[Tuple[int, Dict[str, Any]]], Dict[str, float]]:
-    """Worker entry point of the grouped paths: whole groups at a time.
+    """Worker entry point: whole groups at a time.
 
-    ``grouping="seed-stack"`` ships whole :class:`StackedGroup`\\ s, so
-    the cross-seed sharing holds inside every worker process too.
     Returns ``(miss_index, row)`` pairs plus the worker's stage-seconds
     breakdown, so the parent can reassemble rows in task order and
     aggregate profiling data across processes.
@@ -102,12 +92,7 @@ def _execute_group_chunk(
     stats = ExecutionStats()
     rows: List[Tuple[int, Dict[str, Any]]] = []
     for group in chunk:
-        if isinstance(group, StackedGroup):
-            rows.extend(StackedContext(group, stats=stats).execute_all())
-        else:
-            context = InstanceContext(stats=stats)
-            for index, task in zip(group.indices, group.tasks):
-                rows.append((index, context.execute(task)))
+        rows.extend(_execute_group(group, stats=stats))
     return rows, stats.stage_seconds
 
 
@@ -147,19 +132,18 @@ class LocalExecutor:
     #: poison (the satellite contract: requeue the lost group once)
     MAX_CHUNK_REQUEUES = 1
 
-    def __init__(self, jobs: int = 1, chunksize: Optional[int] = None) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.chunksize = chunksize
 
     # ------------------------------------------------------------------ #
-    # the executor contract (run_units / run_task_list)
+    # the executor contract (run_units)
     # ------------------------------------------------------------------ #
 
     def run_units(
         self,
-        units: Sequence[Union[TaskGroup, StackedGroup]],
+        units: Sequence[TaskGroup],
         commit: Callable[[List[Tuple[int, Dict[str, Any]]]], None],
         stats: Optional[ExecutionStats] = None,
     ) -> None:
@@ -177,42 +161,7 @@ class LocalExecutor:
             self._run_chunks(_execute_group_chunk, chunks, _deliver)
             return
         for unit in units:
-            if isinstance(unit, StackedGroup):
-                commit(StackedContext(unit, stats=stats).execute_all())
-            else:
-                context = InstanceContext(stats=stats)
-                commit(
-                    [
-                        (index, context.execute(task))
-                        for index, task in zip(unit.indices, unit.tasks)
-                    ]
-                )
-
-    def run_task_list(
-        self,
-        tasks: Sequence[SweepTask],
-        commit: Callable[[List[Tuple[int, Dict[str, Any]]]], None],
-    ) -> None:
-        """Execute ungrouped tasks; ``commit`` receives ``(position, row)``
-        batches in task order (the historical ``grouping="none"`` path)."""
-        if self.jobs > 1 and len(tasks) > 1:
-            chunksize = self.chunksize
-            if chunksize is None:
-                chunksize = max(1, math.ceil(len(tasks) / (self.jobs * 4)))
-            chunks = _chunked(tasks, chunksize)
-            offsets = [0]
-            for chunk in chunks:
-                offsets.append(offsets[-1] + len(chunk))
-
-            def _deliver(index: int, chunk_rows: List[Dict[str, Any]]) -> None:
-                commit(
-                    [(offsets[index] + i, row) for i, row in enumerate(chunk_rows)]
-                )
-
-            self._run_chunks(_execute_chunk, chunks, _deliver)
-            return
-        for position, task in enumerate(tasks):
-            commit([(position, execute_task(task))])
+            commit(_execute_group(unit, stats=stats))
 
     # ------------------------------------------------------------------ #
     # pool plumbing with dead-worker recovery
@@ -294,8 +243,6 @@ def run_tasks(
     tasks: Iterable[SweepTask],
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path, ResultCache, SQLiteResultStore]] = None,
-    chunksize: Optional[int] = None,
-    grouping: str = "instance",
     stats: Optional[ExecutionStats] = None,
     cache_backend: str = DEFAULT_CACHE_BACKEND,
     resume: bool = False,
@@ -310,18 +257,17 @@ def run_tasks(
     process pool.  ``cache_dir`` may be a directory path (opened with
     ``cache_backend``: ``"sqlite"`` by default, ``"json"`` for the
     historical per-task files) or an already-open store/cache instance.
-    ``grouping="instance"`` (default) batches tasks sharing a graph
-    instance through one shared context; ``grouping="none"`` is the
-    historical per-task execution.  ``resume=True`` checkpoints a run
+    Misses are planned into groups sharing a graph instance, each run
+    through one shared context.  ``resume=True`` checkpoints a run
     manifest alongside the cache (and requires one); ``progress=True``
     reports done/total + ETA on stderr.  ``stats`` may be an
     :class:`~repro.runner.plan.ExecutionStats` to be filled with cache
     counters and the per-stage timing breakdown.
 
     ``executor`` plugs in how planned misses actually run: by default a
-    :class:`LocalExecutor` built from ``jobs``/``chunksize``; the sweep
-    service passes a ``QueueExecutor`` that routes the identical units
-    through its durable lease queue.  Planning, cache lookups,
+    :class:`LocalExecutor` built from ``jobs``; the sweep service passes
+    a ``QueueExecutor`` that routes the identical groups through its
+    durable lease queue.  Planning, cache lookups,
     checkpointing and row order are identical either way — which is what
     keeps serial, ``--jobs N`` and service execution byte-identical.
     """
@@ -329,11 +275,7 @@ def run_tasks(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if executor is None:
-        executor = LocalExecutor(jobs=jobs, chunksize=chunksize)
-    if grouping not in GROUPING_MODES:
-        raise ValueError(
-            f"grouping must be one of {', '.join(GROUPING_MODES)}, got {grouping!r}"
-        )
+        executor = LocalExecutor(jobs=jobs)
     cache: Optional[Union[ResultCache, SQLiteResultStore]] = None
     if cache_dir is not None:
         if isinstance(cache_dir, (str, Path)):
@@ -409,22 +351,10 @@ def run_tasks(
 
     try:
         if misses:
-            if grouping in ("instance", "seed-stack"):
-                groups = plan_groups(misses)
-                units: Sequence[Union[TaskGroup, StackedGroup]] = groups
-                if grouping == "seed-stack":
-                    # collect same-signature seed groups into super-groups;
-                    # everything unstackable stays on the per-instance path
-                    units = plan_super_groups(groups)
-                if stats is not None:
-                    stats.groups += len(groups)
-                    stats.grouped_tasks += len(misses)
-                    stats.stacked_groups += sum(
-                        1 for unit in units if isinstance(unit, StackedGroup)
-                    )
-                executor.run_units(units, _commit_miss_rows, stats=stats)
-            else:
-                executor.run_task_list(misses, _commit_miss_rows)
+            groups = plan_groups(misses)
+            if stats is not None:
+                stats.groups += len(groups)
+            executor.run_units(groups, _commit_miss_rows, stats=stats)
     finally:
         if reporter is not None:
             reporter.close()

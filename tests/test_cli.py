@@ -25,6 +25,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--scheme", "not-a-scheme"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--scheme", "trivial", "--sizes", "8"],
+            ["bench", "--scheme", "trivial"],
+            ["report", "--spec", "spec.toml", "--out", "out"],
+        ],
+    )
+    def test_grouping_flag_is_gone(self, argv, capsys):
+        # instance grouping is the only execution path; no flag selects it
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--grouping=instance"])
+        assert "unrecognized arguments: --grouping" in capsys.readouterr().err
+
 
 class TestGraphFactory:
     @pytest.mark.parametrize("kind", GRAPH_FAMILIES)
@@ -279,6 +294,93 @@ class TestBackendFlag:
         ]
         assert main(argv) == 0
         assert "cannot read baseline" in capsys.readouterr().err
+
+    def test_bench_baseline_matches_rows_by_configuration(self, tmp_path, capsys):
+        # a snapshot may list an instance row before a historical
+        # seed-stack row of the same workload; the comparator must pick
+        # the instance row, not whichever came last
+        from repro.cli import _check_regression
+
+        workload = {"scheme": "all", "graph": "random", "n": 1024, "backend": "analytic"}
+        snapshot = tmp_path / "BENCH_rows.json"
+        snapshot.write_text(
+            json.dumps(
+                {
+                    "kind": "bench-snapshot",
+                    "rev": "rows",
+                    "payload": {
+                        "results": [
+                            {**workload, "jobs": 1, "grouping": "instance",
+                             "runs_per_second": 100.0},
+                            {**workload, "jobs": 1, "grouping": "seed-stack",
+                             "runs_per_second": 50.0},
+                        ]
+                    },
+                }
+            )
+        )
+        current = {**workload, "jobs": 1, "grouping": "instance", "runs_per_second": 50.0}
+        assert _check_regression(current, str(snapshot)) == 1
+        assert "perf regression" in capsys.readouterr().err
+
+
+class TestBenchCli:
+    def test_bench_profile_json(self, capsys):
+        code = main(
+            ["bench", "--scheme", "all", "--n", "16", "--repeats", "4", "--profile", "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["grouping"] == "instance"
+        assert payload["tier"] == "standard"
+        assert payload["correct"] is True
+        assert set(payload["stage_seconds"]) == {"graph", "trace", "advice", "execute"}
+
+    def test_bench_large_tier_pins_instance_and_profiles(self, capsys, monkeypatch):
+        # the real large tier is hypercube(131072); shrink it so the test
+        # exercises the pinning logic, not the wall clock
+        import repro.cli as cli
+
+        monkeypatch.setattr(
+            cli, "_LARGE_TIER", {"graph": "hypercube", "n": 16, "backend": "analytic"}
+        )
+        code = main(
+            ["bench", "--tier", "large", "--scheme", "theorem3", "--repeats", "2", "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tier"] == "large"
+        assert payload["graph"] == "hypercube"
+        assert payload["n"] == 16
+        assert payload["backend"] == "analytic"
+        assert "stage_seconds" in payload  # the tier forces --profile
+
+    def test_bench_history_renders_snapshots(self, tmp_path, capsys):
+        # the older snapshot holds a historical seed-stack row: history
+        # still renders how each row was measured
+        for rev, grouping, rps in (("abc1234", "seed-stack", 72.5), ("def5678", "instance", 64.25)):
+            snapshot = {
+                "kind": "bench-snapshot",
+                "rev": rev,
+                "payload": {
+                    "scheme": "all", "graph": "random", "n": 1024,
+                    "backend": "analytic", "grouping": grouping,
+                    "tier": "standard", "runs_per_second": rps,
+                    "stage_seconds": {"graph": 0.2, "trace": 0.3},
+                },
+            }
+            (tmp_path / f"BENCH_{rev}.json").write_text(json.dumps(snapshot))
+        code = main(["bench", "history", "--dir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "abc1234" in out and "seed-stack" in out and "72.5" in out
+        assert "def5678" in out and "instance" in out and "64.25" in out
+
+    def test_bench_history_json_and_empty_dir(self, tmp_path, capsys):
+        assert main(["bench", "history", "--dir", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+        assert main(["bench", "history", "--dir", str(tmp_path)]) == 1
+        assert "no BENCH_" in capsys.readouterr().err
 
 
 class TestStoreCommand:

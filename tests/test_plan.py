@@ -78,22 +78,16 @@ class TestPlanGroups:
 
 
 class TestGroupedExecution:
-    def test_grouped_serial_parallel_and_ungrouped_are_byte_identical(self):
+    def test_serial_and_parallel_are_byte_identical(self):
         tasks = _mixed_grid()
-        grouped = run_tasks(tasks, grouping="instance")
-        ungrouped = run_tasks(tasks, grouping="none")
-        parallel = run_tasks(tasks, jobs=4, grouping="instance")
-        assert json.dumps(grouped) == json.dumps(ungrouped)
-        assert json.dumps(grouped) == json.dumps(parallel)
+        serial = run_tasks(tasks)
+        parallel = run_tasks(tasks, jobs=4)
+        assert json.dumps(serial) == json.dumps(parallel)
 
     def test_execute_task_matches_grouped_row(self):
         task = SweepTask("scheme", "theorem3", GraphSpec("random", 0.1), 16, 3)
         (grouped_row,) = run_tasks([task])
         assert json.dumps(execute_task(task)) == json.dumps(grouped_row)
-
-    def test_invalid_grouping_rejected(self):
-        with pytest.raises(ValueError):
-            run_tasks([SweepTask("scheme", "trivial", GraphSpec(), 8, 0)], grouping="wat")
 
     def test_stats_report_groups_and_stages(self):
         from repro.runner.tasks import clear_graph_memo
@@ -103,7 +97,6 @@ class TestGroupedExecution:
         stats = ExecutionStats()
         run_tasks(tasks, stats=stats)
         assert stats.groups == 4
-        assert stats.grouped_tasks == len(tasks)
         assert stats.cache_misses == len(tasks) and stats.cache_hits == 0
         stages = stats.stages_dict()
         assert set(stages) == {"graph", "trace", "advice", "execute"}
@@ -124,7 +117,6 @@ class TestGroupedExecution:
         second = run_tasks(tasks, cache_dir=cache, stats=warm)
         assert cache.hits == len(tasks)
         assert warm.groups == 0  # no group was ever constructed
-        assert warm.grouped_tasks == 0
         assert warm.stage_seconds == {}
         assert json.dumps(first) == json.dumps(second)
 

@@ -42,7 +42,7 @@ import pytest
 
 from repro.report.pipeline import generate_report
 from repro.report.spec import parse_spec_text
-from repro.runner.plan import InstanceContext, StackedGroup, TaskGroup, plan_groups
+from repro.runner.plan import InstanceContext, TaskGroup, plan_groups
 from repro.runner.runner import run_tasks
 from repro.runner.store import SQLiteResultStore
 from repro.runner import tasks as runner_tasks
@@ -561,13 +561,9 @@ class TestQueueGC:
 
 
 class TestQueueExecutor:
-    def test_rejects_stacked_groups_and_uncacheable_tasks(self, tmp_path):
+    def test_rejects_uncacheable_tasks(self, tmp_path):
         queue = LeaseQueue(tmp_path)
         executor = QueueExecutor(queue, "job")
-        [group] = plan_groups([make_task()])
-        stacked = StackedGroup(key=("x",), groups=(group,))
-        with pytest.raises(ValueError, match="seed-stacked"):
-            executor.run_units([stacked], lambda batch: None)
         uncacheable = SweepTask(
             kind="scheme", target="trivial", graph=lambda n, seed: None, n=8, seed=0
         )

@@ -1,13 +1,20 @@
 """Tests of distributed-output verification and advice accounting."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.advice import AdviceAssignment
 from repro.core.bits import BitString
 from repro.core.verification import check_outputs
 from repro.graphs.generators import path_graph, random_connected_graph
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.rooted_tree import ROOT_OUTPUT, build_rooted_tree
+from repro.runner import GraphSpec, SweepTask, run_tasks
+from repro.runner.registry import build_graph
+from repro.runner.tasks import clear_graph_memo
 
 
 class TestCheckOutputs:
@@ -117,3 +124,64 @@ class TestAdviceAssignment:
             advice.set(5, BitString([1]))
         with pytest.raises(ValueError):
             AdviceAssignment(0)
+
+
+def _kruskal_cache_writes(tree):
+    """Line numbers of every write to a ``_kruskal_cache`` attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "_kruskal_cache"
+        ):
+            lines.append(node.lineno)
+            continue
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr == "_kruskal_cache":
+                    lines.append(sub.lineno)
+    return lines
+
+
+class TestVerifierIndependence:
+    """The reference MST the verifier compares against is computed by
+    Kruskal alone: no code under test may fill its memo."""
+
+    def test_only_kruskal_writes_the_reference_cache(self):
+        package = Path(repro.__file__).resolve().parent
+        writers = {}
+        for path in sorted(package.rglob("*.py")):
+            lines = _kruskal_cache_writes(ast.parse(path.read_text(encoding="utf-8")))
+            if lines:
+                writers[path.relative_to(package).as_posix()] = lines
+        assert set(writers) == {"mst/kruskal.py"}, writers
+
+    def test_detector_sees_attribute_and_setattr_writes(self):
+        source = "g._kruskal_cache = t\nsetattr(g, '_kruskal_cache', t)\nx = g._kruskal_cache\n"
+        assert _kruskal_cache_writes(ast.parse(source)) == [1, 2]
+
+    def test_reference_cache_after_a_sweep_is_kruskal_on_a_fresh_copy(self):
+        n, density, seeds = 48, 0.1, range(4)
+        clear_graph_memo()
+        spec = GraphSpec("random", density)
+        tasks = [
+            SweepTask("scheme", target, spec, n, seed, backend="analytic")
+            for seed in seeds
+            for target in ("trivial", "theorem2", "theorem3", "theorem3-level")
+        ]
+        assert all(row["correct"] for row in run_tasks(tasks))
+        for seed in seeds:
+            used = spec.build(n, seed)  # the memoised instance the sweep ran on
+            fresh = build_graph("random", n, seed, density)
+            assert used is not fresh
+            assert used._kruskal_cache == tuple(kruskal_mst(fresh))

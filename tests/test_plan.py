@@ -35,6 +35,33 @@ def _mixed_grid():
     return tasks
 
 
+SCHEMES = ("trivial", "theorem2", "theorem3", "theorem3-level")
+BASELINES = ("ghs", "full-info")
+
+
+def _point_tasks(family, num_seeds, n=16, backend="analytic", density=0.2):
+    """Every scheme and baseline of one sweep point over ``num_seeds`` seeds."""
+    tasks = [
+        SweepTask("scheme", target, GraphSpec(family, density), n, seed, backend=backend)
+        for seed in range(num_seeds)
+        for target in SCHEMES
+    ]
+    tasks += [
+        SweepTask("baseline", name, GraphSpec(family, density), n, seed)
+        for seed in range(num_seeds)
+        for name in BASELINES
+    ]
+    return tasks
+
+
+def _isolated_rows(tasks):
+    """Each task run on its own, from a fresh graph memo."""
+    from repro.runner.tasks import clear_graph_memo
+
+    clear_graph_memo()
+    return [execute_task(task) for task in tasks]
+
+
 class TestPlanGroups:
     def test_groups_partition_the_task_list(self):
         tasks = _mixed_grid()
@@ -75,6 +102,33 @@ class TestPlanGroups:
         c = SweepTask("scheme", "trivial", GraphSpec("random", 0.05), 8, 0)
         d = SweepTask("scheme", "trivial", GraphSpec("random", 0.9), 8, 0)
         assert instance_key(c) != instance_key(d)
+
+
+    def test_seeds_of_one_point_become_one_group_each(self):
+        tasks = _point_tasks("random", 5)
+        groups = plan_groups(tasks)
+        assert [g.key[3] for g in groups] == list(range(5))
+        per_seed = len(SCHEMES) + len(BASELINES)
+        assert all(len(g.tasks) == per_seed for g in groups)
+
+    def test_mixed_roots_share_one_instance_group(self):
+        tasks = [
+            SweepTask("scheme", "theorem3", GraphSpec("random", 0.2), 12, 0, root=root)
+            for root in (0, 1, 2)
+        ]
+        groups = plan_groups(tasks)
+        assert [g.indices for g in groups] == [(0, 1, 2)]
+        assert json.dumps(run_tasks(tasks)) == json.dumps(_isolated_rows(tasks))
+
+    def test_non_mst_problems_group_by_instance(self):
+        tasks = [
+            SweepTask("scheme", target, GraphSpec("random", 0.2), 12, seed)
+            for seed in (0, 1)
+            for target in ("leader/flag", "mst/trivial")
+        ]
+        groups = plan_groups(tasks)
+        assert [g.indices for g in groups] == [(0, 1), (2, 3)]
+        assert json.dumps(run_tasks(tasks)) == json.dumps(_isolated_rows(tasks))
 
 
 class TestGroupedExecution:
@@ -131,6 +185,48 @@ class TestGroupedExecution:
         isolated = [execute_task(task) for task in tasks]
         assert json.dumps(grouped) == json.dumps(isolated)
         assert grouped[0] == grouped[1]  # backends agree row for row
+
+
+
+class TestMultiSeedPoints:
+    """Many seeds of one sweep point: grouped rows equal isolated rows."""
+
+    @pytest.mark.parametrize("family", ["random", "powerlaw", "hypercube"])
+    @pytest.mark.parametrize("num_seeds", [1, 5, 16])
+    def test_grouped_rows_equal_isolated_rows(self, family, num_seeds):
+        tasks = _point_tasks(family, num_seeds)
+        assert json.dumps(run_tasks(tasks)) == json.dumps(_isolated_rows(tasks))
+
+    def test_engine_backend_rows_equal_isolated_rows(self):
+        tasks = _point_tasks("random", 4, n=12, backend="engine")
+        assert json.dumps(run_tasks(tasks)) == json.dumps(_isolated_rows(tasks))
+
+    def test_parallel_multi_seed_point_is_identical(self):
+        tasks = _point_tasks("random", 6, n=12)
+        serial = run_tasks(tasks)
+        parallel = run_tasks(tasks, jobs=2)
+        assert json.dumps(serial) == json.dumps(parallel)
+
+    def test_heterogeneous_grid_groups_per_size_and_seed(self):
+        tasks = [
+            SweepTask("scheme", "theorem3", GraphSpec("random", 0.2), n, seed)
+            for n in (12, 20)
+            for seed in (0, 1, 2)
+        ]
+        stats = ExecutionStats()
+        rows = run_tasks(tasks, stats=stats)
+        assert stats.groups == 6
+        assert json.dumps(rows) == json.dumps(_isolated_rows(tasks))
+
+    def test_stats_count_one_group_per_seed(self):
+        tasks = _point_tasks("random", 4)
+        stats = ExecutionStats()
+        run_tasks(tasks, stats=stats)
+        assert stats.groups == 4
+        assert stats.cache_misses == len(tasks) and stats.cache_hits == 0
+        stages = stats.stages_dict()
+        assert set(stages) == {"graph", "trace", "advice", "execute"}
+        assert stages["execute"] > 0.0
 
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -588,8 +588,8 @@ def _check_regression(payload: Dict[str, Any], baseline_path: str) -> int:
 
 #: the large benchmark tier: the biggest structured instance the
 #: generators build in O(m) — hypercube dimension 17 (the ``random``
-#: family needs O(n²) candidate-edge memory and stops being feasible
-#: around n≈10⁴) — measured through the analytic backend only
+#: family draws one uniform per node pair, O(n²) time) — measured
+#: through the analytic backend only
 _LARGE_TIER = {"graph": "hypercube", "n": 131072, "backend": "analytic"}
 
 

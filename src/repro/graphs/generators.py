@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 
+#: uniform draws per chunk of the G(n, p) pass of random_connected_graph
+#: (8 MiB of doubles); chunked ``Generator.random`` calls return the
+#: same values as one call, so the constant never changes a graph
+_PAIR_CHUNK = 1 << 20
+
+
 def _rng(seed: Optional[int]) -> np.random.Generator:
     return np.random.default_rng(seed)
 
@@ -98,13 +104,16 @@ def _build(
     port_perms: Optional[np.ndarray] = None
     if shuffle_ports:
         degree = np.bincount(u_arr, minlength=n) + np.bincount(v_arr, minlength=n)
-        # one rng.permutation call per non-isolated node, in node order —
-        # the same stream the historical dict comprehension consumed; the
-        # concatenation is the per-slot port table PortNumberedGraph takes
-        parts = [rng.permutation(int(d)) for d in degree.tolist() if d > 0]
-        port_perms = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
+        # the per-slot port table PortNumberedGraph takes: one arange
+        # block per node, shuffled in place in node order.
+        # ``rng.permutation(d)`` is ``rng.shuffle(np.arange(d))``, and a
+        # block of fewer than two slots draws nothing, so this is the
+        # stream of one permutation per non-isolated node
+        starts = np.cumsum(degree) - degree
+        port_perms = np.arange(2 * u_arr.size, dtype=np.int64) - np.repeat(starts, degree)
+        multi = degree > 1
+        for lo, d in zip(starts[multi].tolist(), degree[multi].tolist()):
+            rng.shuffle(port_perms[lo : lo + d])
     return PortNumberedGraph(n, (u_arr, v_arr, w), port_permutations=port_perms)
 
 
@@ -347,11 +356,10 @@ def random_spanning_tree_graph(
     if n < 1:
         raise ValueError("n must be positive")
     rng = _rng(seed)
-    pairs: List[Tuple[int, int]] = []
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        pairs.append((u, v))
-    return _build(n, pairs, rng, weight_mode, weight_range, shuffle_ports)
+    v = np.arange(1, n, dtype=np.int64)
+    # one broadcast draw: node v attaches to a uniform u < v, the same
+    # stream as one rng.integers(0, v) call per node
+    return _build(n, (rng.integers(0, v), v), rng, weight_mode, weight_range, shuffle_ports)
 
 
 def random_connected_graph(
@@ -367,25 +375,35 @@ def random_connected_graph(
     This is the workhorse workload of the benchmark sweeps: connectivity
     is guaranteed by construction (no rejection sampling), and the extra
     edge probability controls the density.
+
+    The G(n, p) part draws one uniform per node pair of the upper
+    triangle in row-major order, so it takes O(n²) time; the draws are
+    taken ``_PAIR_CHUNK`` at a time and only the hits are kept, so
+    memory stays O(n + m).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must be a probability")
     rng = _rng(seed)
-    tree_u = np.fromiter(
-        (rng.integers(0, v) for v in range(1, n)), dtype=np.int64, count=n - 1
-    )
-    codes = tree_u * n + np.arange(1, n, dtype=np.int64)  # u < v by construction
+    tree_v = np.arange(1, n, dtype=np.int64)
+    parts = [rng.integers(0, tree_v) * n + tree_v]  # u < v by construction
     if extra_edge_prob > 0.0 and n > 2:
-        # vectorised G(n, p) over the upper triangle
-        iu, iv = np.triu_indices(n, k=1)
-        mask = rng.random(iu.size) < extra_edge_prob
-        codes = np.concatenate((codes, iu[mask] * n + iv[mask]))
+        # flat position k of pair (i, j), i < j, in the row-major upper
+        # triangle: row i starts at i*n - i(i+1)/2 and holds j = i+1 .. n-1
+        rows = np.arange(n - 1, dtype=np.int64)
+        row_start = rows * n - rows * (rows + 1) // 2
+        num_pairs = n * (n - 1) // 2
+        for lo in range(0, num_pairs, _PAIR_CHUNK):
+            draws = rng.random(min(_PAIR_CHUNK, num_pairs - lo))
+            k = np.flatnonzero(draws < extra_edge_prob) + lo
+            i = np.searchsorted(row_start, k, side="right") - 1
+            parts.append(i * n + (k - row_start[i] + i + 1))
     # unique sorted codes == the historical sorted de-duplicated pair set
     # (sort + run mask rather than np.unique — the hash-based unique of
     # NumPy 2.x is several times slower on these nearly-duplicate-free
     # integer arrays)
+    codes = np.concatenate(parts)
     codes.sort()
     if codes.size > 1:
         keep = np.empty(codes.size, dtype=bool)
@@ -425,9 +443,8 @@ def random_geometric_graph(
 
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
-    iu, iv = np.triu_indices(n, k=1)
-    close = dist[iu, iv] <= radius
-    pairs = {(int(u), int(v)) for u, v in zip(iu[close], iv[close])}
+    iu, iv = np.nonzero(np.triu(dist <= radius, k=1))
+    pairs = set(zip(iu.tolist(), iv.tolist()))
 
     # repair connectivity: repeatedly join the first component to its
     # geometrically nearest outside node.

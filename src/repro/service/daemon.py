@@ -64,6 +64,9 @@ from repro.service.retry import RetryPolicy
 
 __all__ = ["SweepService", "make_server", "serve", "spawn_worker"]
 
+#: largest spec body ``POST /jobs`` accepts (a spec is a few KiB of TOML)
+MAX_BODY_BYTES = 1 << 20
+
 #: artifact suffixes the daemon will serve, with their content types
 _ARTIFACT_TYPES = {".md": "text/markdown", ".csv": "text/csv", ".json": "application/json"}
 
@@ -272,7 +275,24 @@ class _Handler(BaseHTTPRequestHandler):
         if self.service.stop_event.is_set():
             self._send_json(503, {"error": "service is draining; resubmit after restart"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        # the body length is checked before a byte is read: a negative
+        # length would read to EOF and hold this thread, an unbounded one
+        # would buffer whatever the client sends
+        try:
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(
+                400, {"error": "POST /jobs needs a non-negative integer Content-Length"}
+            )
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                413,
+                {"error": f"spec body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"},
+            )
+            return
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
         fmt = "json" if content_type == "application/json" else "toml"
         # ?name=smoke.toml names the submission like the spec file a local

@@ -30,6 +30,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -48,7 +49,7 @@ from repro.runner.store import SQLiteResultStore
 from repro.runner import tasks as runner_tasks
 from repro.runner.tasks import GraphSpec, SweepTask, task_from_wire, task_to_wire
 from repro.service import metrics as service_metrics
-from repro.service.daemon import SweepService
+from repro.service.daemon import MAX_BODY_BYTES, SweepService, make_server
 from repro.service.events import follow_events, read_events, replay
 from repro.service.queue import (
     NORMAL_LANE_CREDIT,
@@ -1071,3 +1072,59 @@ class TestSweepServiceDrainAndResume:
         assert job_a == job_b
         assert created_a and not created_b
         assert len(service.queue.list_jobs()) == 1
+
+
+class TestPostBodyBounds:
+    """``POST /jobs`` checks Content-Length before it reads the body.
+
+    Raw sockets, because an HTTP client library would fix up or refuse
+    the malformed headers.  None of these requests sends its body or
+    closes its write side: a handler that tried to read would block and
+    the 10 s socket timeout would fail the test.
+    """
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        server = make_server(SweepService(tmp_path / "svc"))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+    @staticmethod
+    def _post(server, header_lines, body=b""):
+        host, port = server.server_address[:2]
+        request = b"POST /jobs HTTP/1.1\r\nHost: test\r\n" + header_lines + b"\r\n" + body
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        return status, json.loads(payload)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"", b"Content-Length: -1\r\n", b"Content-Length: abc\r\n", b"Content-Length: 1.5\r\n"],
+        ids=["missing", "negative", "non-integer", "fraction"],
+    )
+    def test_bad_length_is_400(self, server, header):
+        status, payload = self._post(server, header)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_length_is_413(self, server):
+        status, payload = self._post(
+            server, b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1)
+        )
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+
+    def test_valid_length_reaches_the_spec_parser(self, server):
+        status, payload = self._post(server, b"Content-Length: 5\r\n", b"x = [")
+        assert status == 400
+        assert "Content-Length" not in payload["error"]
+        assert server.RequestHandlerClass.service.queue.list_jobs() == []
